@@ -306,34 +306,61 @@ def run_lookup_small(root: Path, work: Path, seed: int, seconds: float, trace: b
     checker = Checker(check=check)
     args = ["--dataset", SMALL_DATASET, "--n", str(SMALL_N), "--alpha", str(ALPHA),
             "--port", "0"]
-    spans_path = work / "spans.json" if trace else None
-    server = _start_servers(root, lambda i: args, out, spans_path)
-    try:
+    closed_pool = small_requests(keys, seed, 3, 4096)
+
+    def warm(server: Server, budget: float) -> None:
+        pool = small_requests(keys, seed, 2, 512)
+        asyncio.run(closed_loop(server.host, server.port, pool, budget, checker))
+
+    def phase(server: Server, part: float, stream: int) -> tuple[Phase, Phase]:
         host, port = server.host, server.port
-        closed_pool = small_requests(keys, seed, 3, 4096)
+        opened = small_requests(keys, seed, stream, int(SMALL_RATE * seconds * part))
+        o = Phase(asyncio.run(open_loop(host, port, opened, SMALL_RATE, checker)))
+        c = Phase(*asyncio.run(closed_loop(host, port, closed_pool, seconds * part, checker)))
+        return o, c
 
-        def phase(part: float, stream: int) -> tuple[Phase, Phase]:
-            opened = small_requests(keys, seed, stream, int(SMALL_RATE * seconds * part))
-            o = Phase(asyncio.run(open_loop(host, port, opened, SMALL_RATE, checker)))
-            c = Phase(*asyncio.run(closed_loop(host, port, closed_pool, seconds * part, checker)))
-            return o, c
-
-        asyncio.run(closed_loop(host, port, small_requests(keys, seed, 2, 512), WARMUP_S, checker))
-        if not trace:
-            opened, closed = phase(0.5, 1)
-        else:
+    opened, closed = Phase(), Phase()
+    if not trace:
+        # As in lib-lookup-large, each set-up serves its share of the
+        # timed phases, so they span three servers and a longer stretch
+        # of a shared host's drifting speed.
+        times, rss = [], []
+        for i in range(SETUPS):
+            server = Server(root, args)
+            times.append(server.setup_s)
+            try:
+                warm(server, WARMUP_S / 2)
+                o, c = phase(server, 0.5 / SETUPS, 10 + i)
+                rss.append(server.peak_rss_mb())
+                code = server.stop()
+            except BaseException:
+                server.kill()
+                raise
+            if code != 0:
+                out.problems.append(f"server {i} exited with {code}, not 0 (graceful drain)")
+                out.failed += 1
+            opened.results += o.results
+            closed.results += c.results
+            closed.wall_s += c.wall_s
+        out.metrics["setup_s"] = median(times)
+        out.record["setup_s_each"] = times
+        out.metrics["peak_rss_mb"] = max(rss)
+    else:
+        spans_path = work / "spans.json"
+        server = _start_servers(root, lambda i: args, out, spans_path)
+        try:
+            warm(server, WARMUP_S)
             _switch_phase(server)
-            untraced = phase(0.25, 1)
+            untraced = phase(server, 0.25, 1)
             _switch_phase(server)
             stats0 = _stats(server)
-            traced = phase(0.25, 4)
+            opened, closed = phase(server, 0.25, 4)
             stats1 = _stats(server)
             _switch_phase(server)
-            opened, closed = traced
-        _stop(server, out)
-    except BaseException:
-        server.kill()
-        raise
+            _stop(server, out)
+        except BaseException:
+            server.kill()
+            raise
     for p in (opened, closed, *(untraced if trace else ())):
         out.count(p.results)
     out.record["client_late_p99_ms"] = _late_p99_ms(opened.results)
@@ -341,7 +368,7 @@ def run_lookup_small(root: Path, work: Path, seed: int, seconds: float, trace: b
     done = sum(1 for r in closed.results if r.ok)
     out.metrics["lookup_keys_per_s"] = done * SMALL_BATCH / closed.wall_s
     if trace:
-        _http_layers(out, spans_path, untraced[1].results, traced[1].results,
+        _http_layers(out, spans_path, untraced[1].results, closed.results,
                      out.record["client_late_p99_ms"], SMALL_N, 0, stats0, stats1)
     return out
 
