@@ -9,7 +9,9 @@ attacks.
 
 from __future__ import annotations
 
-from typing import Iterator
+import contextlib
+import threading
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from ...obs.tracing import trace
 from .flat import FlatLipp, StaleFlatError
 from .node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
 
-__all__ = ["LippIndex"]
+__all__ = ["LippIndex", "compile_forest"]
 
 #: Bytes per slot: 1 type byte + key + value/pointer union.
 SLOT_BYTES = 1 + KEY_BYTES + VALUE_BYTES
@@ -51,6 +53,9 @@ class LippIndex(LearnedIndex):
     """Updatable precise-position learned index."""
 
     name = "lipp"
+    #: Whether lookups credit per-node ``access_count`` (SALI's
+    #: workload model); plain LIPP does not track.
+    tracks_access = False
 
     def __init__(self, root: LippNode, slot_factor: float, use_flat: bool = True):
         self._root = root
@@ -59,8 +64,28 @@ class LippIndex(LearnedIndex):
         #: node-object sweeps — the authoritative oracle the flat
         #: parity suite compares against.
         self._use_flat = bool(use_flat)
+        #: The compiled view: a standalone compile, or this index's
+        #: window into a router's forest (:func:`compile_forest`).
         self._flat: FlatLipp | None = None
         self._flat_uncompilable = False
+        #: Serialises compiles: a compile re-points the nodes' slot
+        #: arrays, so two racing compiles could publish a view whose
+        #: buffers are not the ones the nodes write into.
+        self._flat_lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_flat_lock"]
+        flat = state["_flat"]
+        if flat is not None and flat.n_trees > 1:
+            # A forest window would drag every other shard's tree
+            # along; the copy recompiles its own view lazily.
+            state["_flat"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._flat_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -103,21 +128,21 @@ class LippIndex(LearnedIndex):
         """Compile the flat view now (e.g. before serving a shard)."""
         self._flat_view()
 
+    @property
+    def compiled_flat(self) -> FlatLipp | None:
+        """The current flat view without compiling one (None if none)."""
+        return self._flat
+
     def _flat_view(self) -> FlatLipp | None:
         """The compiled flat view, or None when disabled/unsupported."""
-        if not self._use_flat or self._flat_uncompilable:
-            return None
-        if self._flat is None:
-            reg = get_registry()
-            if reg.enabled:
-                with trace("flat_compile", registry=reg, family=self.name):
-                    self._flat = FlatLipp.compile(self._root)
-                reg.counter("flat_compiles_total", family=self.name).inc()
-            else:
-                self._flat = FlatLipp.compile(self._root)
-            if self._flat is None:
-                self._flat_uncompilable = True
-        return self._flat
+        flat = self._flat
+        if flat is not None or not self._use_flat or self._flat_uncompilable:
+            return flat
+        with self._flat_lock:
+            if self._flat is None and not self._flat_uncompilable:
+                self._flat = _compile([self], [self._root])
+                self._flat_uncompilable = self._flat is None
+            return self._flat
 
     # ------------------------------------------------------------------
     def _descend(self, key: int) -> tuple[LippNode, int, int]:
@@ -182,9 +207,10 @@ class LippIndex(LearnedIndex):
         """Route a batch through the flat view, falling back to the
         node-object oracle sweep.
 
-        A :class:`StaleFlatError` (raised before any output is
-        written) triggers one recompile-and-retry; trees that cannot
-        be compiled at all descend through :meth:`_batch_descend`.
+        A :class:`StaleFlatError` (a sweep followed an unmapped CHILD
+        slot, possibly after writing some outputs) zeroes the outputs
+        and triggers one recompile-and-retry; trees that cannot be
+        compiled at all descend through :meth:`_batch_descend`.
         """
         flat = self._flat_view()
         if flat is not None:
@@ -195,6 +221,8 @@ class LippIndex(LearnedIndex):
                 reg = get_registry()
                 if reg.enabled:
                     reg.counter("flat_stale_retries_total", family=self.name).inc()
+                for out in (found, values, levels, steps):
+                    out.fill(0)
                 self.invalidate_flat()
                 flat = self._flat_view()
                 if flat is not None:
@@ -216,10 +244,10 @@ class LippIndex(LearnedIndex):
         if not track:
             flat.lookup_many_into(q, found, values, levels, steps)
             return
-        visit_counts = np.zeros(flat.n_nodes, dtype=np.int64)
-        leaf_visits = np.zeros(len(flat.leaves), dtype=np.int64)
-        flat.lookup_many_into(q, found, values, levels, steps, visit_counts, leaf_visits)
-        flat.credit_access(visit_counts, leaf_visits)
+        visits: list = []
+        leaf_visits: list = []
+        flat.lookup_many_into(q, found, values, levels, steps, visits, leaf_visits)
+        flat.credit_access(visits, leaf_visits)
 
     def _batch_descend(
         self,
@@ -677,7 +705,7 @@ class LippIndex(LearnedIndex):
     def node_count(self) -> int:
         flat = self._flat_view()
         if flat is not None:
-            return flat.n_nodes + len(flat.leaves)
+            return flat.n_nodes + len(flat.window_leaves)
         return sum(1 for __ in self._root.walk())
 
     def size_bytes(self) -> int:
@@ -795,3 +823,49 @@ class LippIndex(LearnedIndex):
             else:
                 total += int(node.keys.size)
         return empty / total if total else 0.0
+
+
+def compile_forest(
+    indexes: Sequence[LippIndex],
+) -> tuple[FlatLipp, list[FlatLipp]] | None:
+    """Lay several indexes out in one flat forest; each adopts its window.
+
+    Returns ``(forest, windows)``: tree ``t`` belongs to
+    ``indexes[t]``, whose compiled view becomes ``windows[t]``.  An
+    index whose current view is still valid is copied from it
+    range-wise; the others compile from their nodes (one
+    ``flat_compiles_total`` each).  Every index's
+    compile lock is held while the forest is laid out and the windows
+    published, so a concurrent per-index compile cannot re-point the
+    same nodes.  Returns None — changing nothing — when some index has
+    flat views off or cannot be represented.
+    """
+    if not indexes or any(not ix._use_flat or ix._flat_uncompilable for ix in indexes):
+        return None
+    with contextlib.ExitStack() as stack:
+        for ix in indexes:
+            stack.enter_context(ix._flat_lock)
+        sources = [ix._root if ix._flat is None else ix._flat for ix in indexes]
+        if len(sources) == 1 and isinstance(sources[0], FlatLipp) and sources[0].n_trees == 1:
+            return sources[0], sources  # already a forest of its own
+        forest = _compile(indexes, sources)
+        if forest is None:
+            return None
+        windows = [forest.window(t) for t in range(len(indexes))]
+        for ix, window in zip(indexes, windows):
+            ix._flat = window
+    return forest, windows
+
+
+def _compile(indexes: Sequence[LippIndex], sources: list) -> FlatLipp | None:
+    """:meth:`FlatLipp.compile`, traced, counting one
+    ``flat_compiles_total`` per index compiled from its nodes."""
+    reg = get_registry()
+    if not reg.enabled:
+        return FlatLipp.compile(sources)
+    with trace("flat_compile", registry=reg, family=indexes[0].name, trees=len(sources)):
+        flat = FlatLipp.compile(sources)
+    for ix, src in zip(indexes, sources):
+        if src is ix._root:
+            reg.counter("flat_compiles_total", family=ix.name).inc()
+    return flat

@@ -37,6 +37,7 @@ class SaliIndex(LippIndex):
     """Scalable Adaptive Learned Index (reproduction)."""
 
     name = "sali"
+    tracks_access = True
 
     def __init__(
         self,
@@ -226,7 +227,7 @@ class SaliIndex(LippIndex):
             total = flat.n_nodes * (NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES)
             total += flat.total_slots * SLOT_BYTES
             total += flat.child_slot_count() * POINTER_BYTES
-            return total + sum(leaf.leaf_size_bytes() for leaf in flat.leaves)
+            return total + sum(leaf.leaf_size_bytes() for leaf in flat.window_leaves)
         total = 0
         for node in self._root.walk():
             if isinstance(node, FlattenedNode):

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "observe_grouped",
     "get_registry",
     "set_registry",
     "scoped_registry",
@@ -160,23 +161,29 @@ class Histogram:
             if value > self.max:
                 self.max = value
 
+    @staticmethod
+    def buckets_of(values: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`bucket_of` over a float64 array."""
+        # Raising zero, negatives and NaN to the smallest resolvable
+        # magnitude maps them to bucket 0 with no warning context.
+        floor = np.fmax(values, 2.0**HIST_EXP_MIN)
+        idx = np.floor(np.log2(floor) * HIST_SUBBUCKETS).astype(np.int64)
+        return np.clip(idx - HIST_EXP_MIN * HIST_SUBBUCKETS, 0, HIST_BUCKETS - 1)
+
     def observe_array(self, values: np.ndarray) -> None:
         """Record a batch of observations in one vectorised pass."""
         v = np.asarray(values, dtype=np.float64)
         if v.size == 0:
             return
-        positive = v > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            idx = np.floor(np.log2(np.where(positive, v, 1.0)) * HIST_SUBBUCKETS)
-        idx = idx.astype(np.int64) - HIST_EXP_MIN * HIST_SUBBUCKETS
-        idx = np.clip(np.where(positive, idx, 0), 0, HIST_BUCKETS - 1)
-        binned = np.bincount(idx, minlength=HIST_BUCKETS)
+        binned = np.bincount(self.buckets_of(v), minlength=HIST_BUCKETS)
+        self._fold(binned, int(v.size), float(v.sum()), float(v.min()), float(v.max()))
+
+    def _fold(self, binned: np.ndarray, count: int, total: float, lo: float, hi: float) -> None:
+        """Add pre-binned observations with their moments."""
         with self._lock:
             self._counts += binned
-            self.count += int(v.size)
-            self.sum += float(v.sum())
-            lo = float(v.min())
-            hi = float(v.max())
+            self.count += count
+            self.sum += total
             if lo < self.min:
                 self.min = lo
             if hi > self.max:
@@ -264,6 +271,32 @@ class Histogram:
         """A copy of the full fixed-layout bucket-count array."""
         with self._lock:
             return self._counts.copy()
+
+
+def observe_grouped(hists: Sequence[Histogram], groups: np.ndarray, values: np.ndarray) -> None:
+    """Record ``values[i]`` into ``hists[groups[i]]`` for a whole batch.
+
+    One bucketing pass and one ``bincount`` over
+    ``group * HIST_BUCKETS + bucket`` replace a masked
+    :meth:`Histogram.observe_array` per group; counts, sums, minima
+    and maxima are then folded into each touched histogram.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        return
+    g = np.asarray(groups, dtype=np.int64)
+    n = len(hists)
+    binned = np.bincount(
+        g * HIST_BUCKETS + Histogram.buckets_of(v), minlength=n * HIST_BUCKETS
+    ).reshape(n, HIST_BUCKETS)
+    counts = np.bincount(g, minlength=n)
+    sums = np.bincount(g, weights=v, minlength=n)
+    lo = np.full(n, math.inf)
+    np.minimum.at(lo, g, v)
+    hi = np.full(n, -math.inf)
+    np.maximum.at(hi, g, v)
+    for i in np.flatnonzero(counts).tolist():
+        hists[i]._fold(binned[i], int(counts[i]), float(sums[i]), float(lo[i]), float(hi[i]))
 
 
 class MetricsRegistry:

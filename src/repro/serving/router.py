@@ -1,17 +1,27 @@
 """Vectorised scatter/gather routing over range-partitioned shards.
 
 One ``np.searchsorted`` against the boundary array assigns every query
-of a batch to its shard; a stable argsort groups the batch into
-per-shard contiguous runs; each run goes down its shard's
-``lookup_many`` / ``insert_many``; and the per-shard
+of a batch to its shard.  When every shard is a LIPP/SALI index with a
+flat view, the router lays all of them out in one shared
+:class:`~repro.indexes.lipp.flat.FlatLipp` forest and answers the
+whole batch with a single sweep that starts each key at its shard's
+root — no per-shard calls.  Each shard's compiled view is its window
+into that forest, so every node's slots still have exactly one owner.
+The forest compiles lazily on the first lookup and is re-laid when a
+shard is replaced or drops its view: unchanged shards' ranges are
+copied and only the changed shard is compiled.
+
+Otherwise (other families, or the process executor) a stable argsort
+groups the batch into per-shard contiguous runs; each run goes down
+its shard's ``lookup_many`` / ``insert_many``; and the per-shard
 :class:`~repro.indexes.base.BatchQueryStats` are gathered back into
 the caller's positional order.  *How* the per-shard runs execute is
 the :class:`~repro.serving.executor.ExecutorSpec`: inline
 (``"serial"``), on a shared ``ThreadPoolExecutor`` (``"thread"``), or
 on replicated shared-memory worker processes (``"process"`` — see
-:mod:`~repro.serving.executor`).  The gather is *exact* for every
-executor: entry ``i`` of the gathered batch is bit-identical to
-routing ``keys[i]`` alone and looking it up in its shard.
+:mod:`~repro.serving.executor`).  The gather is *exact* on every
+path: entry ``i`` of the gathered batch is bit-identical to routing
+``keys[i]`` alone and looking it up in its shard.
 
 In process mode the router keeps its in-process shard objects as the
 *authoritative* copies: writes (``insert_many``, ``replace_shard``)
@@ -22,8 +32,10 @@ the authoritative copies directly.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,8 +46,11 @@ from ..indexes.base import (
     LearnedIndex,
     _as_batch_kv,
     _as_query_array,
+    alloc_batch_outputs,
     dedupe_last_wins,
 )
+from ..indexes.lipp.flat import FlatLipp, StaleFlatError
+from ..indexes.lipp.index import LippIndex, compile_forest
 from ..obs.health import ReplicaHealth
 from ..obs.metrics import get_registry
 from .executor import ExecutorSpec, ProcessShardExecutor, resolve_executor
@@ -53,14 +68,66 @@ class RoutedBatch:
             found/values, with levels/steps as reported by the shard
             that served each query.
         shard_ids: shard serving each query, parallel to the batch.
-        per_shard: each shard's own BatchQueryStats (None where the
-            shard received no queries), in shard order — the inputs to
-            per-shard latency accounting.
+        n_shards: shards of the router that served the batch.
     """
 
     gathered: BatchQueryStats
     shard_ids: np.ndarray
-    per_shard: tuple[BatchQueryStats | None, ...]
+    n_shards: int
+
+    @cached_property
+    def per_shard(self) -> tuple[BatchQueryStats | None, ...]:
+        """Each shard's own BatchQueryStats (None where the shard
+        received no queries), in shard order, its queries in batch
+        order — derived on first use from the gathered arrays."""
+        g = self.gathered
+        order = np.argsort(self.shard_ids, kind="stable")
+        counts = np.bincount(self.shard_ids, minlength=self.n_shards).tolist()
+        out: list[BatchQueryStats | None] = []
+        lo = 0
+        for count in counts:
+            p = order[lo : lo + count]
+            lo += count
+            out.append(
+                None
+                if count == 0
+                else BatchQueryStats(
+                    keys=g.keys[p],
+                    found=g.found[p],
+                    values=g.values[p],
+                    levels=g.levels[p],
+                    search_steps=g.search_steps[p],
+                )
+            )
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """The router's flat forest, as laid out over one set of shards.
+
+    ``flat`` is None when some shard has no flat view (another family,
+    ``use_flat=False``, an unrepresentable model): the router then
+    scatters per shard until the shard set changes.
+    """
+
+    shards: tuple[LearnedIndex | None, ...]
+    flat: FlatLipp | None = None
+    #: Each shard's window (None for empty shards).
+    windows: tuple[FlatLipp | None, ...] = ()
+    #: Root node id per shard; -1 for empty shards.
+    roots: np.ndarray | None = None
+    #: Shards whose lookups credit access counts (SALI).
+    tracking: tuple[int, ...] = ()
+
+    def current(self, shards: Sequence[LearnedIndex | None]) -> bool:
+        """Whether *shards* are still the ones laid out, with their views."""
+        if self.flat is None:
+            return all(a is b for a, b in zip(shards, self.shards))
+        for shard, was, window in zip(shards, self.shards, self.windows):
+            if shard is not was or (shard is not None and shard.compiled_flat is not window):
+                return False
+        return True
 
 
 class ShardRouter:
@@ -91,6 +158,8 @@ class ShardRouter:
         self._shards = list(shards)
         self._boundaries = boundaries
         self._build_factory = build_factory
+        self._forest: _Forest | None = None
+        self._forest_lock = threading.Lock()
         #: ``executor=`` is the API; ``max_workers=`` / ``threaded=``
         #: are the deprecated PR-2 knobs, mapped (with a one-time
         #: warning) onto a thread spec by :func:`resolve_executor`.
@@ -184,10 +253,13 @@ class ShardRouter:
         for its buffers.
         """
         shard_ids = self.shard_of(keys)
+        return (shard_ids, *self._runs(shard_ids))
+
+    def _runs(self, shard_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, offsets)`` of :meth:`group_by_shard` for given ids."""
         order = np.argsort(shard_ids, kind="stable")
         counts = np.bincount(shard_ids, minlength=self.n_shards)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return shard_ids, order, offsets
+        return order, np.concatenate([[0], np.cumsum(counts)])
 
     def _map_shards(self, tasks: list[tuple[int, Callable[[], object]]]) -> dict[int, object]:
         """Run one closure per shard, on the pool when configured."""
@@ -196,35 +268,137 @@ class ShardRouter:
         futures = {shard: self._executor.submit(task) for shard, task in tasks}
         return {shard: future.result() for shard, future in futures.items()}
 
-    def lookup_many(self, keys: np.ndarray | list) -> RoutedBatch:
-        """Routed batched lookups with exact positional gather."""
+    def lookup_many(
+        self, keys: np.ndarray | list, shard_ids: np.ndarray | None = None
+    ) -> RoutedBatch:
+        """Routed batched lookups with exact positional gather.
+
+        *shard_ids* (parallel to *keys*, as from :meth:`shard_of`)
+        skips routing the batch again when the caller already has it.
+        """
         q = _as_query_array(keys)
         m = int(q.size)
-        shard_ids, order, offsets = self.group_by_shard(q)
-        found = np.zeros(m, dtype=bool)
-        values = np.zeros(m, dtype=np.int64)
-        levels = np.zeros(m, dtype=np.int64)
-        steps = np.zeros(m, dtype=np.int64)
-        per_shard: list[BatchQueryStats | None] = [None] * self.n_shards
+        if shard_ids is None:
+            shard_ids = self.shard_of(q)
+        forest = self._forest_view()
+        gathered = None
+        if forest is not None:
+            gathered = self._forest_lookup(forest, q, shard_ids)
+        if gathered is None:
+            gathered = self._scatter_lookup(q, shard_ids)
+        reg = get_registry()
+        if reg.enabled:
+            reg.counter("router_batches_total").inc()
+            reg.counter("router_routed_keys_total").inc(m)
+            reg.histogram("router_batch_keys").observe(m)
+            # Scatter width: shards this batch actually touched — the
+            # fan-out the gather pays for.
+            reg.histogram("router_scatter_shards").observe(
+                int(np.count_nonzero(np.bincount(shard_ids, minlength=self.n_shards)))
+            )
+        return RoutedBatch(gathered=gathered, shard_ids=shard_ids, n_shards=self.n_shards)
+
+    # ------------------------------------------------------------------
+    # The flat forest
+    # ------------------------------------------------------------------
+    def _forest_view(self) -> _Forest | None:
+        """The forest over the current shards, re-laid if stale.
+
+        None in process mode: worker replicas serve per shard.
+        """
+        if self._proc is not None:
+            return None
+        forest = self._forest
+        if forest is not None and forest.current(self._shards):
+            return forest
+        with self._forest_lock:
+            forest = self._forest
+            if forest is None or not forest.current(self._shards):
+                forest = self._forest = self._lay_forest()
+            return forest
+
+    def _lay_forest(self) -> _Forest:
+        """Lay every shard out in one forest (see :func:`compile_forest`)."""
+        shards = tuple(self._shards)
+        members = [s for s in shards if s is not None]
+        laid = None
+        if members and all(isinstance(s, LippIndex) for s in members):
+            laid = compile_forest(members)
+        if laid is None:
+            return _Forest(shards)
+        flat, member_windows = laid
+        previous = self._forest
+        if previous is not None and previous.flat is not None and previous.flat.slot_keys is not flat.slot_keys:
+            # Every live node now views the new buffers.
+            previous.flat.release()
+        windows: list[FlatLipp | None] = []
+        roots = np.full(len(shards), -1, dtype=np.int64)
+        tracking = []
+        t = 0
+        for shard_no, shard in enumerate(shards):
+            if shard is None:
+                windows.append(None)
+                continue
+            windows.append(member_windows[t])
+            roots[shard_no] = flat.tree_node_start[t]
+            if shard.tracks_access:
+                tracking.append(shard_no)
+            t += 1
+        return _Forest(shards, flat, tuple(windows), roots, tuple(tracking))
+
+    def _forest_lookup(
+        self, forest: _Forest, q: np.ndarray, shard_ids: np.ndarray
+    ) -> BatchQueryStats | None:
+        """One sweep over the forest, each key starting at its shard's
+        root; None (after invalidating the stale shard) when the sweep
+        hits a view that no longer matches its tree."""
+        flat = forest.flat
+        if flat is None:
+            return None
+        found, values, levels, steps = alloc_batch_outputs(q.size)
+        visits = [] if forest.tracking else None
+        leaf_visits = [] if forest.tracking else None
+        try:
+            flat.lookup_many_into(
+                q, found, values, levels, steps, visits, leaf_visits,
+                start=forest.roots[shard_ids],
+            )
+        except StaleFlatError as exc:
+            node = int(np.searchsorted(flat.slot_start, exc.slot, side="right")) - 1
+            tree = int(np.searchsorted(flat.tree_node_start, node, side="right")) - 1
+            stale = [s for s in forest.shards if s is not None][tree]
+            reg = get_registry()
+            if reg.enabled:
+                reg.counter("flat_stale_retries_total", family=stale.name).inc()
+            stale.invalidate_flat()
+            return None
+        if forest.tracking:
+            counts = np.bincount(shard_ids, minlength=self.n_shards)
+            for shard_no in forest.tracking:
+                if counts[shard_no]:
+                    forest.shards[shard_no].tracker.total_queries += int(counts[shard_no])
+                    forest.windows[shard_no].credit_access(visits, leaf_visits)
+        return BatchQueryStats(
+            keys=q, found=found, values=values, levels=levels, search_steps=steps
+        )
+
+    def _scatter_lookup(self, q: np.ndarray, shard_ids: np.ndarray) -> BatchQueryStats:
+        """One ``lookup_many`` per touched shard, gathered positionally."""
+        order, offsets = self._runs(shard_ids)
+        found, values, levels, steps = alloc_batch_outputs(q.size)
+        per_shard: dict[int, BatchQueryStats] = {}
 
         tasks = []
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
             if lo == hi:
                 continue
-            positions = order[lo:hi]
             shard = self._shards[shard_no]
             if shard is None:
                 # Empty shard: a definite miss with no structure to
                 # traverse (levels=0, steps=0 — only base_ns accrues).
-                per_shard[shard_no] = BatchQueryStats(
-                    keys=q[positions],
-                    found=np.zeros(positions.size, dtype=bool),
-                    values=np.zeros(positions.size, dtype=np.int64),
-                    levels=np.zeros(positions.size, dtype=np.int64),
-                    search_steps=np.zeros(positions.size, dtype=np.int64),
-                )
                 continue
+            positions = order[lo:hi]
             tasks.append((shard_no, (lambda s=shard, p=positions: s.lookup_many(q[p]))))
         if self._proc is not None and tasks:
             # Process fan-out: ship each shard's key slice to a replica
@@ -243,34 +417,16 @@ class ShardRouter:
                     search_steps=arrays[3],
                 )
         else:
-            for shard_no, batch in self._map_shards(tasks).items():
-                per_shard[shard_no] = batch
+            per_shard.update(self._map_shards(tasks))
 
-        for shard_no, batch in enumerate(per_shard):
-            if batch is None:
-                continue
-            lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
-            positions = order[lo:hi]
+        for shard_no, batch in per_shard.items():
+            positions = order[int(offsets[shard_no]) : int(offsets[shard_no + 1])]
             found[positions] = batch.found
             values[positions] = batch.values
             levels[positions] = batch.levels
             steps[positions] = batch.search_steps
-
-        gathered = BatchQueryStats(
+        return BatchQueryStats(
             keys=q, found=found, values=values, levels=levels, search_steps=steps
-        )
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("router_batches_total").inc()
-            reg.counter("router_routed_keys_total").inc(m)
-            reg.histogram("router_batch_keys").observe(m)
-            # Scatter width: shards this batch actually touched — the
-            # fan-out the gather pays for.
-            reg.histogram("router_scatter_shards").observe(
-                sum(1 for b in per_shard if b is not None)
-            )
-        return RoutedBatch(
-            gathered=gathered, shard_ids=shard_ids, per_shard=tuple(per_shard)
         )
 
     def insert_many(
@@ -361,19 +517,31 @@ class ShardRouter:
     def replace_shard(self, shard_no: int, index: LearnedIndex | None) -> None:
         """Swap one shard's index (the service's merge path).
 
-        In process mode the new index is republished to the shard's
-        replicas (or the publication withdrawn when *index* is None);
-        a router whose executor is already closed just swaps locally,
-        so a straggling background merge landing during shutdown can
-        not crash against dead workers.
+        The new index's flat view is compiled here, on the merge path,
+        not on the first lookup after it: a router serving from a flat
+        forest re-lays it — the other shards' ranges are copied and
+        only *index* is compiled — and otherwise a LIPP/SALI index
+        compiles its own view before the swap.  In process mode the
+        new index is republished to the shard's replicas (or the
+        publication withdrawn when *index* is None); a router whose
+        executor is already closed just swaps locally, so a straggling
+        background merge landing during shutdown can not crash against
+        dead workers.
         """
         shard_no = int(shard_no)
+        relay = self._proc is None and self._forest is not None and self._forest.flat is not None
+        if index is not None and not relay:
+            prewarm = getattr(index, "prewarm_flat", None)
+            if prewarm is not None:
+                prewarm()
         self._shards[shard_no] = index
         if self._proc is not None and not self._proc.closed:
             if index is None:
                 self._proc.withdraw(shard_no)
             else:
                 self._proc.publish(shard_no, index)
+        elif relay:
+            self._forest_view()
 
     def close(self) -> None:
         """Shut the worker pool / processes down (no-op when serial)."""

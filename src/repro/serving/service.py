@@ -51,7 +51,7 @@ from ..indexes.base import (
     _as_query_array,
 )
 from ..obs.health import HealthReport, IMBALANCE_WARN, ShardHealth, shard_status
-from ..obs.metrics import Histogram, MetricsRegistry, get_registry
+from ..obs.metrics import Histogram, MetricsRegistry, get_registry, observe_grouped
 from ..obs.tracing import trace
 from .executor import ExecutorSpec
 from .partitioner import (
@@ -806,14 +806,24 @@ class IndexService:
         if self.cache_blocks > 0 and np.any(pending):
             self._cache_pass(q, shard_ids, pending, found, values, levels, steps)
 
-        # 3. Scatter/gather for the remainder.
-        if np.any(pending):
-            routed = self.router.lookup_many(q[pending])
+        # 3. Scatter/gather for the remainder, routed by the shard ids
+        # computed above.
+        if pending.all():
+            routed = self.router.lookup_many(q, shard_ids=shard_ids).gathered
+            found, values, levels, steps = (
+                routed.found, routed.values, routed.levels, routed.search_steps
+            )
+            if self.cache_blocks > 0:
+                self._fill_blocks(q, shard_ids)
+        elif pending.any():
+            routed = self.router.lookup_many(
+                q[pending], shard_ids=shard_ids[pending]
+            ).gathered
             idx = np.nonzero(pending)[0]
-            found[idx] = routed.gathered.found
-            values[idx] = routed.gathered.values
-            levels[idx] = routed.gathered.levels
-            steps[idx] = routed.gathered.search_steps
+            found[idx] = routed.found
+            values[idx] = routed.values
+            levels[idx] = routed.levels
+            steps[idx] = routed.search_steps
             if self.cache_blocks > 0:
                 self._fill_blocks(q[pending], shard_ids[pending])
 
@@ -1078,11 +1088,7 @@ class IndexService:
         if resmoothed:
             apply_csv(adapter_for(merged, self.constants), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
-        # Tree backends with a compiled flat lookup view pay its
-        # (re)compile before the swap, not on the first query after it.
-        prewarm = getattr(merged, "prewarm_flat", None)
-        if prewarm is not None:
-            prewarm()
+        # Also compiles the merged shard's flat lookup view, if any.
         self.router.replace_shard(shard_no, merged)
         if self.cache_blocks > 0:
             with self._cache_lock:
@@ -1165,9 +1171,7 @@ class IndexService:
     # Latency accounting
     # ------------------------------------------------------------------
     def _record_latency(self, shard_ids: np.ndarray, batch: BatchQueryStats) -> None:
-        ns = batch.simulated_ns(self.constants)
-        for shard_no in np.unique(shard_ids).tolist():
-            self._lat_hists[shard_no].observe_array(ns[shard_ids == shard_no])
+        observe_grouped(self._lat_hists, shard_ids, batch.simulated_ns(self.constants))
 
     def latency_report(self) -> LatencyReport:
         """Per-shard p50/p90/p99/avg of the simulated lookup latencies.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,25 @@ def clustered_keys(rng: np.random.Generator) -> np.ndarray:
 def sorted_unique(rng: np.random.Generator, n: int, span: int) -> np.ndarray:
     """Helper used by hypothesis-free randomised tests."""
     return np.unique(rng.integers(0, span, n))
+
+
+@pytest.fixture()
+def run_together():
+    """``run_together(n, fn)``: call *fn* on *n* threads released by
+    one barrier, and require every thread to finish within a bound."""
+
+    def run(n_threads: int, fn, timeout: float = 120.0) -> None:
+        barrier = threading.Barrier(n_threads)
+
+        def go():
+            barrier.wait()
+            fn()
+
+        threads = [threading.Thread(target=go) for __ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+        assert not any(t.is_alive() for t in threads)
+
+    return run

@@ -23,15 +23,20 @@ Parity contract:
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.csv_algorithm import CsvConfig, apply_csv
+from repro.datasets import load
 from repro.indexes.adapters import adapter_for
 from repro.indexes.lipp.index import LippIndex
+from repro.indexes.lipp.node import SLOT_DATA
 from repro.indexes.sali.index import SaliIndex
+from repro.obs.metrics import MetricsRegistry, scoped_registry
 
 INDEX_CLASSES = [LippIndex, SaliIndex]
 
@@ -262,3 +267,44 @@ class TestFlatCacheLifecycle:
         index = LippIndex.build(keys, use_flat=False)
         index.lookup_many(keys)
         assert index._flat_view() is None
+
+    def test_racing_first_lookups_publish_the_buffers_nodes_write(self, run_together):
+        # Two threads making the first lookup at once used to both
+        # compile and re-point the nodes, so the published view could
+        # read buffers the nodes no longer wrote into.
+        keys = load("facebook", 50_000)
+        probe = keys[::97]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for __ in range(10):
+                index = LippIndex.build(keys)
+                run_together(4, lambda: index.lookup_many(keys[::50]))
+                flat = index.compiled_flat
+                assert all(node.slot_values.base is flat.slot_values for node in flat.nodes)
+                for key in probe.tolist():
+                    index.insert(key, -7)  # in-place overwrites through the nodes
+                assert (index.lookup_many(probe).values == -7).all()
+        finally:
+            sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("cls", INDEX_CLASSES)
+    def test_unmapped_conflict_child_is_caught_on_its_path(self, cls):
+        keys = np.arange(0, 300_000, 100, dtype=np.int64)
+        index = cls.build(keys, keys * 2)
+        index.lookup_many(keys)  # compile the view
+        root = index.root
+        slot = int(np.flatnonzero(root.slot_type == SLOT_DATA)[0])
+        old = int(root.slot_keys[slot])
+        new = next(
+            k for k in range(old + 1, old + 100) if root.slot_of(k) == slot
+        )
+        # Structural surgery through the node API, no invalidate_flat.
+        root.make_conflict_child(slot, new, 5)
+        q = np.concatenate([keys[::7], [old, new]])
+        with scoped_registry(MetricsRegistry(enabled=True)) as reg:
+            got = index.lookup_many(q)
+        assert got.found.all()
+        assert np.array_equal(got.values, np.concatenate([keys[::7] * 2, [old * 2, 5]]))
+        assert got.levels[-1] == got.levels[-2] == 2
+        assert reg.counters()[f"flat_stale_retries_total{{family={cls.name}}}"] == 1

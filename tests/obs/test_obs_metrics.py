@@ -15,6 +15,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     metric_key,
+    observe_grouped,
     scoped_registry,
     set_registry,
 )
@@ -199,3 +200,21 @@ def test_registry_reset():
     reg.reset()
     assert reg.counters() == {}
     assert reg.histograms() == {}
+
+
+def test_observe_grouped_equals_per_group_observe_array():
+    rng = np.random.default_rng(5)
+    groups = rng.integers(0, 6, 3000)
+    groups[groups == 4] = 5  # group 4 stays untouched
+    values = np.concatenate([rng.lognormal(5, 2, 2990), [0.0, -3.0, 1e-9, 1e12] * 2, [7, 7]])
+    grouped = [Histogram() for _ in range(6)]
+    single = [Histogram() for _ in range(6)]
+    observe_grouped(grouped, groups, values)
+    for g in range(6):
+        single[g].observe_array(values[groups == g])
+    for a, b in zip(grouped, single):
+        assert np.array_equal(a._counts, b._counts)
+        assert a.count == b.count
+        assert a.sum == pytest.approx(b.sum, rel=1e-12)
+        assert (a.min, a.max) == (b.min, b.max)
+    assert grouped[4].count == 0 and grouped[4].min == float("inf")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -204,3 +205,19 @@ def test_bench_serving_quick_smoke(tmp_path):
         for label in ("K1", "K2", "K4"):
             assert sweep[label]["process_lookups_per_s"] > 0
         assert sweep["k4_over_k1_ratio"] > 0
+
+
+def test_perfbench_tracing_hooks_resolve():
+    """``perfbench/tracing.py`` wraps router, service and index methods
+    by name; a rename must fail here, not in a traced benchmark run.
+    Installed in a subprocess: the wrappers patch classes for good."""
+    code = "from perfbench.tracing import Tracer, install; install(Tracer())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])},
+    )
+    assert proc.returncode == 0, proc.stderr
