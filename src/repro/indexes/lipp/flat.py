@@ -76,6 +76,9 @@ __all__ = ["FlatLipp", "StaleFlatError"]
 NO_CHILD = -1
 FLAT_LEAF_BASE = -2
 
+#: The :meth:`FlatLipp.tally` of no visits.
+NO_VISITS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
 
 class StaleFlatError(RuntimeError):
     """The compiled flat view no longer matches the node tree.
@@ -401,12 +404,12 @@ class FlatLipp:
         this view's root, or with *start* at its own node id (a
         forest sweep starts each key at its shard's root; negative
         entries leave the query untouched).  With *visits* (a list)
-        the node ids each level visits are appended — the input of
-        :meth:`credit_access`, the aggregate equivalent of SALI's
-        per-query ``record_path``; *leaf_visits* does the same for
-        flattened leaves.  Raises :class:`StaleFlatError` when a query
-        follows an unmapped CHILD slot; outputs may then be partly
-        written.
+        the node ids each level visits are appended — tallied
+        (:meth:`tally`) and credited (:meth:`credit_access`), the
+        aggregate equivalent of SALI's per-query ``record_path``;
+        *leaf_visits* does the same for flattened leaves.  Raises
+        :class:`StaleFlatError` when a query follows an unmapped CHILD
+        slot; outputs may then be partly written.
         """
         active, cur = self._start(q.size, start)
         depth = 1
@@ -488,22 +491,32 @@ class FlatLipp:
             cur = nxt
         return term_node, term_slot, term_kind, leaf_of
 
-    def credit_access(self, visits: list, leaf_visits: list) -> None:
-        """Scatter a sweep's visits on this view back onto the objects.
+    @staticmethod
+    def tally(visits: list) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, counts)`` of a sweep's visit list, ids ascending."""
+        if not visits:
+            return NO_VISITS
+        return np.unique(np.concatenate(visits), return_counts=True)
+
+    def tally_by_tree(self, visits: list, leaf_visits: list) -> list[tuple[tuple, tuple]]:
+        """Per tree, the ``(node, leaf)`` tallies of a forest sweep's
+        visits — one :meth:`tally` each, split at the tree offsets."""
+        nodes, leaves = self.tally(visits), self.tally(leaf_visits)
+        n_cut = np.searchsorted(nodes[0], self.tree_node_start).tolist()
+        l_cut = np.searchsorted(leaves[0], self.tree_leaf_start).tolist()
+        return [
+            ((nodes[0][a:b], nodes[1][a:b]), (leaves[0][c:d], leaves[1][c:d]))
+            for a, b, c, d in zip(n_cut, n_cut[1:], l_cut, l_cut[1:])
+        ]
+
+    def credit_access(self, nodes: tuple, leaves: tuple) -> None:
+        """Add tallied visits (:meth:`tally`) onto the node objects.
 
         Keeps the node tree the single source of truth for SALI's
         access statistics (``AccessTracker`` reads ``access_count``
-        off the objects when picking flattening targets).  Visits
-        outside this view's ranges are ignored."""
-        for ids, objs, lo, hi in (
-            (visits, self.nodes, self.node_lo, self.node_hi),
-            (leaf_visits, self.leaves, self.leaf_lo, self.leaf_hi),
-        ):
-            if not ids:
-                continue
-            ids = np.concatenate(ids)
-            uniq, counts = np.unique(ids[(ids >= lo) & (ids < hi)], return_counts=True)
-            for i, c in zip(uniq.tolist(), counts.tolist()):
+        off the objects when picking flattening targets)."""
+        for (ids, counts), objs in ((nodes, self.nodes), (leaves, self.leaves)):
+            for i, c in zip(ids.tolist(), counts.tolist()):
                 objs[i].access_count += c
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ from ..base import (
 )
 from ...obs.metrics import get_registry
 from ...obs.tracing import trace
-from .flat import FlatLipp, StaleFlatError
+from .flat import NO_VISITS, FlatLipp, StaleFlatError
 from .node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
 
 __all__ = ["LippIndex", "compile_forest"]
@@ -187,12 +187,14 @@ class LippIndex(LearnedIndex):
         remains the authoritative oracle (``use_flat=False``) and the
         fallback for trees the flat view cannot represent.  LIPP
         lookups have no search component, so ``search_steps`` is all
-        zeros, exactly as in :meth:`lookup_stats`.
+        zeros, exactly as in :meth:`lookup_stats`.  Indexes that
+        track access (SALI) account each batch in
+        :meth:`credit_batch`.
         """
         q = _as_query_array(keys)
         found, values, levels, steps = alloc_batch_outputs(q.size)
         if q.size:
-            self._batch_lookup(q, found, values, levels, steps, track=False)
+            self._batch_lookup(q, found, values, levels, steps)
         return BatchQueryStats(keys=q, found=found, values=values, levels=levels, search_steps=steps)
 
     def _batch_lookup(
@@ -202,7 +204,6 @@ class LippIndex(LearnedIndex):
         values: np.ndarray,
         levels: np.ndarray,
         steps: np.ndarray,
-        track: bool,
     ) -> None:
         """Route a batch through the flat view, falling back to the
         node-object oracle sweep.
@@ -215,7 +216,7 @@ class LippIndex(LearnedIndex):
         flat = self._flat_view()
         if flat is not None:
             try:
-                self._flat_sweep(flat, q, found, values, levels, steps, track)
+                self._flat_sweep(flat, q, found, values, levels, steps)
                 return
             except StaleFlatError:
                 reg = get_registry()
@@ -226,28 +227,43 @@ class LippIndex(LearnedIndex):
                 self.invalidate_flat()
                 flat = self._flat_view()
                 if flat is not None:
-                    self._flat_sweep(flat, q, found, values, levels, steps, track)
+                    self._flat_sweep(flat, q, found, values, levels, steps)
                     return
-        self._batch_descend(q, found, values, levels, steps, track)
+        self._batch_descend(q, found, values, levels, steps, self.tracks_access)
+        self.credit_batch(int(q.size))
 
-    @staticmethod
     def _flat_sweep(
+        self,
         flat: FlatLipp,
         q: np.ndarray,
         found: np.ndarray,
         values: np.ndarray,
         levels: np.ndarray,
         steps: np.ndarray,
-        track: bool,
     ) -> None:
         """One flat lookup sweep, crediting access counts when tracked."""
-        if not track:
+        if not self.tracks_access:
             flat.lookup_many_into(q, found, values, levels, steps)
             return
         visits: list = []
         leaf_visits: list = []
         flat.lookup_many_into(q, found, values, levels, steps, visits, leaf_visits)
-        flat.credit_access(visits, leaf_visits)
+        self.credit_batch(int(q.size), flat, flat.tally(visits), flat.tally(leaf_visits))
+
+    def credit_batch(
+        self,
+        n_queries: int,
+        flat: FlatLipp | None = None,
+        nodes: tuple = NO_VISITS,
+        leaves: tuple = NO_VISITS,
+    ) -> None:
+        """Account one batch of *n_queries* lookups in the workload model.
+
+        A no-op here: LIPP tracks nothing.  SALI counts the queries
+        and adds a flat sweep's tallied visits (:meth:`FlatLipp.tally`
+        over *flat*'s nodes and leaves) onto the node objects; the
+        node-object sweep credits its paths as it walks.
+        """
 
     def _batch_descend(
         self,

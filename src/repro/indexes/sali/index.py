@@ -20,11 +20,9 @@ from ..base import (
     NODE_HEADER_BYTES,
     OFFSET_BYTES,
     POINTER_BYTES,
-    BatchQueryStats,
     QueryStats,
-    _as_query_array,
-    alloc_batch_outputs,
 )
+from ..lipp.flat import NO_VISITS, FlatLipp
 from ..lipp.index import SLOT_BYTES, LippIndex
 from ..lipp.node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, LippNode
 from .flatten import DEFAULT_EPSILON, FlattenedNode
@@ -90,23 +88,22 @@ class SaliIndex(LippIndex):
                 )
             return QueryStats(key=key, found=False, value=None, levels=levels, search_steps=0)
 
-    def lookup_many(self, keys) -> BatchQueryStats:
-        """Batched lookups with workload tracking.
+    def credit_batch(
+        self,
+        n_queries: int,
+        flat: FlatLipp | None = None,
+        nodes: tuple = NO_VISITS,
+        leaves: tuple = NO_VISITS,
+    ) -> None:
+        """Count the batch's queries and credit a flat sweep's visits.
 
-        Routes through LIPP's flat-view sweep with tracking enabled:
-        per-level visit counters are accumulated with one ``bincount``
-        per level and scattered back onto the nodes' ``access_count``
-        (aggregate-equivalent to per-query ``record_path``); flattened
-        subtrees answer their groups via
-        :meth:`~repro.indexes.sali.flatten.FlattenedNode.lookup_batch`.
-        The node-object sweep remains the ``use_flat=False`` oracle.
+        Per-node ``access_count`` gains each node's visit count —
+        aggregate-equivalent to per-query ``record_path``.  Called by
+        :meth:`lookup_many` and by the router's forest sweep.
         """
-        q = _as_query_array(keys)
-        found, values, levels, steps = alloc_batch_outputs(q.size)
-        if q.size:
-            self.tracker.total_queries += int(q.size)
-            self._batch_lookup(q, found, values, levels, steps, track=True)
-        return BatchQueryStats(keys=q, found=found, values=values, levels=levels, search_steps=steps)
+        self.tracker.total_queries += n_queries
+        if flat is not None:
+            flat.credit_access(nodes, leaves)
 
     def key_level(self, key: int) -> int:
         key = int(key)

@@ -117,8 +117,8 @@ class _Forest:
     windows: tuple[FlatLipp | None, ...] = ()
     #: Root node id per shard; -1 for empty shards.
     roots: np.ndarray | None = None
-    #: Shards whose lookups credit access counts (SALI).
-    tracking: tuple[int, ...] = ()
+    #: ``(shard, tree)`` of shards whose lookups credit access (SALI).
+    tracking: tuple[tuple[int, int], ...] = ()
 
     def current(self, shards: Sequence[LearnedIndex | None]) -> bool:
         """Whether *shards* are still the ones laid out, with their views."""
@@ -311,15 +311,18 @@ class ShardRouter:
         forest = self._forest
         if forest is not None and forest.current(self._shards):
             return forest
+        previous = None
         with self._forest_lock:
             forest = self._forest
             if forest is None or not forest.current(self._shards):
-                forest = self._forest = self._lay_forest()
-            return forest
+                previous = forest
+                forest = self._forest = self._lay_forest(tuple(self._shards))
+        self._release(previous, forest)
+        return forest
 
-    def _lay_forest(self) -> _Forest:
-        """Lay every shard out in one forest (see :func:`compile_forest`)."""
-        shards = tuple(self._shards)
+    @staticmethod
+    def _lay_forest(shards: tuple[LearnedIndex | None, ...]) -> _Forest:
+        """Lay *shards* out in one forest (see :func:`compile_forest`)."""
         members = [s for s in shards if s is not None]
         laid = None
         if members and all(isinstance(s, LippIndex) for s in members):
@@ -327,10 +330,6 @@ class ShardRouter:
         if laid is None:
             return _Forest(shards)
         flat, member_windows = laid
-        previous = self._forest
-        if previous is not None and previous.flat is not None and previous.flat.slot_keys is not flat.slot_keys:
-            # Every live node now views the new buffers.
-            previous.flat.release()
         windows: list[FlatLipp | None] = []
         roots = np.full(len(shards), -1, dtype=np.int64)
         tracking = []
@@ -342,9 +341,22 @@ class ShardRouter:
             windows.append(member_windows[t])
             roots[shard_no] = flat.tree_node_start[t]
             if shard.tracks_access:
-                tracking.append(shard_no)
+                tracking.append((shard_no, t))
             t += 1
         return _Forest(shards, flat, tuple(windows), roots, tuple(tracking))
+
+    @staticmethod
+    def _release(previous: _Forest | None, forest: _Forest) -> None:
+        """Free *previous*'s buffers from nodes it alone still views.
+
+        Called after the forest lock is dropped, so readers never wait
+        on its per-node loop.
+        """
+        if previous is None or previous.flat is None or forest.flat is None:
+            return
+        if previous.flat.slot_keys is not forest.flat.slot_keys:
+            # Every live node now views the new buffers.
+            previous.flat.release()
 
     def _forest_lookup(
         self, forest: _Forest, q: np.ndarray, shard_ids: np.ndarray
@@ -373,11 +385,11 @@ class ShardRouter:
             stale.invalidate_flat()
             return None
         if forest.tracking:
-            counts = np.bincount(shard_ids, minlength=self.n_shards)
-            for shard_no in forest.tracking:
+            counts = np.bincount(shard_ids, minlength=self.n_shards).tolist()
+            tallies = flat.tally_by_tree(visits, leaf_visits)
+            for shard_no, t in forest.tracking:
                 if counts[shard_no]:
-                    forest.shards[shard_no].tracker.total_queries += int(counts[shard_no])
-                    forest.windows[shard_no].credit_access(visits, leaf_visits)
+                    forest.shards[shard_no].credit_batch(counts[shard_no], flat, *tallies[t])
         return BatchQueryStats(
             keys=q, found=found, values=values, levels=levels, search_steps=steps
         )
@@ -529,8 +541,19 @@ class ShardRouter:
         dead workers.
         """
         shard_no = int(shard_no)
-        relay = self._proc is None and self._forest is not None and self._forest.flat is not None
-        if index is not None and not relay:
+        if self._proc is None and self._forest is not None and self._forest.flat is not None:
+            # Lay the new forest first, then publish it with the shard:
+            # until then readers keep sweeping the old one.
+            with self._forest_lock:
+                shards = list(self._shards)
+                shards[shard_no] = index
+                previous = self._forest
+                forest = self._lay_forest(tuple(shards))
+                self._forest = forest
+                self._shards[shard_no] = index
+            self._release(previous, forest)
+            return
+        if index is not None:
             prewarm = getattr(index, "prewarm_flat", None)
             if prewarm is not None:
                 prewarm()
@@ -540,8 +563,6 @@ class ShardRouter:
                 self._proc.withdraw(shard_no)
             else:
                 self._proc.publish(shard_no, index)
-        elif relay:
-            self._forest_view()
 
     def close(self) -> None:
         """Shut the worker pool / processes down (no-op when serial)."""

@@ -808,14 +808,7 @@ class IndexService:
 
         # 3. Scatter/gather for the remainder, routed by the shard ids
         # computed above.
-        if pending.all():
-            routed = self.router.lookup_many(q, shard_ids=shard_ids).gathered
-            found, values, levels, steps = (
-                routed.found, routed.values, routed.levels, routed.search_steps
-            )
-            if self.cache_blocks > 0:
-                self._fill_blocks(q, shard_ids)
-        elif pending.any():
+        if pending.any():
             routed = self.router.lookup_many(
                 q[pending], shard_ids=shard_ids[pending]
             ).gathered

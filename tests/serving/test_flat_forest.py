@@ -18,6 +18,7 @@ every node's slot arrays are views into the one set of forest buffers.
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.indexes import INDEX_FAMILIES
 from repro.indexes.base import attach_from_buffers
+from repro.indexes.lipp.flat import FlatLipp
 from repro.indexes.lipp.node import SLOT_DATA
 from repro.obs.metrics import MetricsRegistry, scoped_registry
 from repro.serving import IndexService
@@ -253,3 +255,56 @@ def test_unmapped_conflict_child_falls_back_and_relays():
         again = service.router.lookup_many(q).gathered
         assert np.array_equal(again.values, got.values)
         assert np.array_equal(again.levels, got.levels)
+
+
+def test_readers_sweep_the_old_forest_while_a_merge_relays(monkeypatch):
+    keys = np.unique(np.random.default_rng(3).integers(0, 1 << 40, 20_000))
+    service = IndexService.build(keys, family="lipp", n_shards=4, background_merge=True)
+    relaying, resume = threading.Event(), threading.Event()
+    repoint = FlatLipp._repoint
+
+    def held_repoint(flat, nodes, n0):
+        # Hold the merge thread's forest re-lay after its first tree
+        # is re-pointed at the new buffers.
+        repoint(flat, nodes, n0)
+        if n0 > 0 and threading.current_thread().name == "merge":
+            relaying.set()
+            assert resume.wait(60)
+
+    with service:
+        service.lookup_many(keys)  # lay the forest out
+        monkeypatch.setattr(FlatLipp, "_repoint", held_repoint)
+        lo, hi = service.router.boundaries[0], service.router.boundaries[1]
+        target = keys[(keys >= lo) & (keys < hi)]
+        new = target[: target.size // 5 + 2] + 1
+        service.insert_many(new, new * 7)
+        try:
+            assert relaying.wait(60)
+            results = []
+            reader = threading.Thread(
+                target=lambda: results.append(service.lookup_many(np.concatenate([keys, new])))
+            )
+            reader.start()
+            # The reader must not wait for the re-lay to finish.
+            reader.join(30)
+            assert not reader.is_alive()
+        finally:
+            resume.set()
+        service.drain()
+        (got,) = results
+        assert got.found.all()
+        assert np.array_equal(got.values[keys.size :], new * 7)
+        assert service.stats.merges == 1
+        after = service.lookup_many(np.concatenate([keys, new]))
+        assert after.found.all()
+        assert np.array_equal(after.values, got.values)
+        _check_one_owner(service, keys)
+
+
+def test_empty_batch_never_reaches_the_router():
+    keys, service = _service(k=4)
+    with service, scoped_registry(MetricsRegistry(enabled=True)) as reg:
+        got = service.lookup_many(np.empty(0, dtype=np.int64))
+        assert got.found.size == 0
+        assert "router_batches_total" not in reg.counters()
+        assert service.router.shards[0].compiled_flat is None
