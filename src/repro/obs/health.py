@@ -72,8 +72,8 @@ class ReplicaHealth:
     OS pid, liveness, the shards the replica is attached to, its
     in-flight request count (the load the least-loaded fan-out
     balances on), batches served, and how many times the slot has
-    been respawned after a crash or timeout.  Serial and thread
-    executors report no replicas.
+    been respawned after a crash or timeout.  The serial executor
+    reports no replicas.
     """
 
     slot: int
@@ -92,7 +92,6 @@ class HealthReport:
     shards: tuple[ShardHealth, ...]
     merge_queue_depth: int
     merges: int
-    cache_hit_rate: float
     buffer_hit_rate: float
     cost_imbalance: float
     status: str  # "ok" | "warn"
@@ -148,7 +147,6 @@ class HealthReport:
         summary = (
             f"status={self.status}  merges={self.merges}  "
             f"merge_queue={self.merge_queue_depth}  "
-            f"cache_hit_rate={self.cache_hit_rate:.3f}  "
             f"buffer_hit_rate={self.buffer_hit_rate:.3f}  "
             f"cost_imbalance={self.cost_imbalance:.2f}"
         )

@@ -27,9 +27,8 @@ ints are arbitrary-precision, so the wire answers are bit-identical
 to in-process ``lookup_many`` (the parity suite holds this).
 
 With a :class:`~repro.server.runtime_store.RuntimeStore` attached,
-accepted write batches are logged durably before they are applied,
-op counters persist across restarts, and the service's query cache is
-saved at shutdown / restored at startup; ``metrics_out`` streams the
+accepted write batches are logged durably before they are applied
+and op counters persist across restarts; ``metrics_out`` streams the
 same JSON-lines snapshots ``repro serve --metrics-out`` writes, so
 ``repro metrics --validate`` passes on a live server's file.
 """
@@ -86,9 +85,6 @@ SERVICE_STAT_FIELDS = (
     "n_lookups",
     "n_inserts",
     "buffer_hits",
-    "cache_hits",
-    "cache_misses",
-    "cache_fills",
     "merges",
     "merged_keys",
     "resmoothed_shards",
@@ -100,6 +96,31 @@ SERVICE_STAT_FIELDS = (
 
 class BadRequestError(Exception):
     """Client-side request error (HTTP 400)."""
+
+
+class _RejectedRequest(Exception):
+    """A request refused before its body is read (the connection closes)."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+def _content_length(raw: str | None) -> int:
+    """The declared body size, checked before any of the body is read.
+
+    Anything but a non-negative decimal integer is a 400, and a size
+    past :data:`MAX_BODY_BYTES` a 413 — the only place that limit is
+    enforced.
+    """
+    if raw is None:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        raise _RejectedRequest(400, f"bad Content-Length {raw[:32]!r}")
+    length = int(raw)
+    if length > MAX_BODY_BYTES:
+        raise _RejectedRequest(413, "request body too large")
+    return length
 
 
 class _ReadWriteLock:
@@ -298,12 +319,8 @@ class HttpFrontDoor:
                 if record.op == "insert":
                     self.service.insert_many(record.keys, record.values)
                     self._c_replayed_ops.inc()
-        imported = self.service.import_cache_blocks(state.cache_blocks)
-        if state.ops or imported:
-            _log.info(
-                f"runtime store: replayed {len(state.ops)} op(s), "
-                f"restored {imported} cache block(s)"
-            )
+        if state.ops:
+            _log.info(f"runtime store: replayed {len(state.ops)} op(s)")
         # Counter restore comes *after* replay so the persisted totals
         # overwrite the bumps replaying just caused.
         service_counters = {
@@ -394,7 +411,6 @@ class HttpFrontDoor:
         self.durable_sync()
         if self.store is not None:
             self.store.save_counters(self._persistable_counters())
-            self.store.save_cache_blocks(self.service.export_cache_blocks())
             self.store.close()
         self._snapshot()
 
@@ -460,7 +476,17 @@ class HttpFrontDoor:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _RejectedRequest as exc:
+                    # The body was never read, so the stream cannot be
+                    # resynchronised to the next request: answer, close.
+                    self._c_errors.inc()
+                    await self._write_response(
+                        writer, exc.status, _error_body(str(exc)),
+                        JSON_CONTENT_TYPE, [], keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 keep_alive = await self._dispatch(request, writer)
@@ -497,7 +523,7 @@ class HttpFrontDoor:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        length = _content_length(headers.get("content-length"))
         body = await reader.readexactly(length) if length > 0 else b""
         return method.upper(), target.split("?", 1)[0], headers, body
 
@@ -514,29 +540,26 @@ class HttpFrontDoor:
         extra: list[tuple[str, str]] = []
         keep_alive = headers.get("connection", "").lower() != "close"
         try:
-            if len(body) > MAX_BODY_BYTES:
-                status, payload = 413, _error_body("request body too large")
+            handler = self._routes.get((method, path))
+            if handler is None:
+                known_paths = {p for (_m, p) in self._routes}
+                status = 405 if path in known_paths else 404
+                payload = _error_body(
+                    "method not allowed" if status == 405 else "no such route"
+                )
             else:
-                handler = self._routes.get((method, path))
-                if handler is None:
-                    known_paths = {p for (_m, p) in self._routes}
-                    status = 405 if path in known_paths else 404
-                    payload = _error_body(
-                        "method not allowed" if status == 405 else "no such route"
-                    )
-                else:
-                    obj = None
-                    if method == "POST":
-                        try:
-                            obj = json.loads(body.decode("utf-8")) if body else {}
-                        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                            raise BadRequestError(f"invalid JSON body: {exc}") from exc
-                    status, result, content_type = await handler(obj)
-                    payload = (
-                        result
-                        if isinstance(result, bytes)
-                        else json.dumps(result, sort_keys=True).encode("utf-8")
-                    )
+                obj = None
+                if method == "POST":
+                    try:
+                        obj = json.loads(body.decode("utf-8")) if body else {}
+                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                        raise BadRequestError(f"invalid JSON body: {exc}") from exc
+                status, result, content_type = await handler(obj)
+                payload = (
+                    result
+                    if isinstance(result, bytes)
+                    else json.dumps(result, sort_keys=True).encode("utf-8")
+                )
         except BadRequestError as exc:
             status, payload = 400, _error_body(str(exc))
         except OverloadedError as exc:

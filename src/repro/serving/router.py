@@ -15,13 +15,13 @@ Otherwise (other families, or the process executor) a stable argsort
 groups the batch into per-shard contiguous runs; each run goes down
 its shard's ``lookup_many`` / ``insert_many``; and the per-shard
 :class:`~repro.indexes.base.BatchQueryStats` are gathered back into
-the caller's positional order.  *How* the per-shard runs execute is
+the caller's positional order.  *Where* the per-shard runs execute is
 the :class:`~repro.serving.executor.ExecutorSpec`: inline
-(``"serial"``), on a shared ``ThreadPoolExecutor`` (``"thread"``), or
-on replicated shared-memory worker processes (``"process"`` — see
-:mod:`~repro.serving.executor`).  The gather is *exact* on every
-path: entry ``i`` of the gathered batch is bit-identical to routing
-``keys[i]`` alone and looking it up in its shard.
+(``"serial"``) or on replicated shared-memory worker processes
+(``"process"`` — see :mod:`~repro.serving.executor`).  The gather is
+*exact* on every path: entry ``i`` of the gathered batch is
+bit-identical to routing ``keys[i]`` alone and looking it up in its
+shard.
 
 In process mode the router keeps its in-process shard objects as the
 *authoritative* copies: writes (``insert_many``, ``replace_shard``)
@@ -33,7 +33,6 @@ the authoritative copies directly.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -53,7 +52,7 @@ from ..indexes.lipp.flat import FlatLipp, StaleFlatError
 from ..indexes.lipp.index import LippIndex, compile_forest
 from ..obs.health import ReplicaHealth
 from ..obs.metrics import get_registry
-from .executor import ExecutorSpec, ProcessShardExecutor, resolve_executor
+from .executor import ExecutorSpec, ProcessShardExecutor
 
 __all__ = ["RoutedBatch", "ShardRouter", "dedupe_last_wins"]
 
@@ -142,10 +141,8 @@ class ShardRouter:
         self,
         shards: Sequence[LearnedIndex | None],
         boundaries: np.ndarray,
-        max_workers: int | None = None,
         build_factory: Callable[[np.ndarray, np.ndarray], LearnedIndex] | None = None,
         executor: ExecutorSpec | str | None = None,
-        threaded: bool | None = None,
     ):
         boundaries = np.asarray(boundaries, dtype=np.int64)
         if boundaries.size != len(shards) - 1:
@@ -160,22 +157,9 @@ class ShardRouter:
         self._build_factory = build_factory
         self._forest: _Forest | None = None
         self._forest_lock = threading.Lock()
-        #: ``executor=`` is the API; ``max_workers=`` / ``threaded=``
-        #: are the deprecated PR-2 knobs, mapped (with a one-time
-        #: warning) onto a thread spec by :func:`resolve_executor`.
-        self._spec = resolve_executor(
-            executor, max_workers=max_workers, threaded=threaded
-        )
-        self._executor: ThreadPoolExecutor | None = None
+        self._spec = ExecutorSpec.parse(executor)
         self._proc: ProcessShardExecutor | None = None
-        if self._spec.kind == "thread":
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(
-                    self._spec.resolved_workers(len(shards)), max(len(shards), 1)
-                ),
-                thread_name_prefix="shard",
-            )
-        elif self._spec.kind == "process":
+        if self._spec.kind == "process":
             self._proc = ProcessShardExecutor(self._spec, len(shards))
             try:
                 for shard_no, shard in enumerate(self._shards):
@@ -206,15 +190,11 @@ class ShardRouter:
         return self._spec
 
     @property
-    def threaded(self) -> bool:
-        return self._executor is not None
-
-    @property
     def process_based(self) -> bool:
         return self._proc is not None
 
     def executor_report(self) -> tuple[ReplicaHealth, ...]:
-        """Per-replica health rows (empty for serial/thread executors)."""
+        """Per-replica health rows (empty for the serial executor)."""
         return self._proc.health() if self._proc is not None else ()
 
     def worker_restarts(self) -> int:
@@ -260,13 +240,6 @@ class ShardRouter:
         order = np.argsort(shard_ids, kind="stable")
         counts = np.bincount(shard_ids, minlength=self.n_shards)
         return order, np.concatenate([[0], np.cumsum(counts)])
-
-    def _map_shards(self, tasks: list[tuple[int, Callable[[], object]]]) -> dict[int, object]:
-        """Run one closure per shard, on the pool when configured."""
-        if self._executor is None or len(tasks) <= 1:
-            return {shard: task() for shard, task in tasks}
-        futures = {shard: self._executor.submit(task) for shard, task in tasks}
-        return {shard: future.result() for shard, future in futures.items()}
 
     def lookup_many(
         self, keys: np.ndarray | list, shard_ids: np.ndarray | None = None
@@ -398,45 +371,32 @@ class ShardRouter:
         """One ``lookup_many`` per touched shard, gathered positionally."""
         order, offsets = self._runs(shard_ids)
         found, values, levels, steps = alloc_batch_outputs(q.size)
-        per_shard: dict[int, BatchQueryStats] = {}
-
-        tasks = []
-        for shard_no in range(self.n_shards):
-            lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
-            if lo == hi:
-                continue
-            shard = self._shards[shard_no]
-            if shard is None:
-                # Empty shard: a definite miss with no structure to
-                # traverse (levels=0, steps=0 — only base_ns accrues).
-                continue
-            positions = order[lo:hi]
-            tasks.append((shard_no, (lambda s=shard, p=positions: s.lookup_many(q[p]))))
-        if self._proc is not None and tasks:
+        # An empty shard is a definite miss with no structure to
+        # traverse (levels=0, steps=0 — only base_ns accrues).
+        runs = {
+            shard_no: order[int(offsets[shard_no]) : int(offsets[shard_no + 1])]
+            for shard_no in range(self.n_shards)
+            if offsets[shard_no] < offsets[shard_no + 1]
+            and self._shards[shard_no] is not None
+        }
+        if self._proc is not None:
             # Process fan-out: ship each shard's key slice to a replica
             # worker; the response is the shard's BatchQueryStats as
             # bare arrays (the keys we already hold).
-            slices = {
-                shard_no: q[order[int(offsets[shard_no]) : int(offsets[shard_no + 1])]]
-                for shard_no, __ in tasks
-            }
-            for shard_no, arrays in self._proc.lookup(list(slices.items())).items():
-                per_shard[shard_no] = BatchQueryStats(
-                    keys=slices[shard_no],
-                    found=arrays[0],
-                    values=arrays[1],
-                    levels=arrays[2],
-                    search_steps=arrays[3],
-                )
+            answers = self._proc.lookup([(s, q[p]) for s, p in runs.items()])
         else:
-            per_shard.update(self._map_shards(tasks))
-
-        for shard_no, batch in per_shard.items():
-            positions = order[int(offsets[shard_no]) : int(offsets[shard_no + 1])]
-            found[positions] = batch.found
-            values[positions] = batch.values
-            levels[positions] = batch.levels
-            steps[positions] = batch.search_steps
+            answers = {}
+            for shard_no, positions in runs.items():
+                batch = self._shards[shard_no].lookup_many(q[positions])
+                answers[shard_no] = (
+                    batch.found, batch.values, batch.levels, batch.search_steps
+                )
+        for shard_no, (s_found, s_values, s_levels, s_steps) in answers.items():
+            positions = runs[shard_no]
+            found[positions] = s_found
+            values[positions] = s_values
+            levels[positions] = s_levels
+            steps[positions] = s_steps
         return BatchQueryStats(
             keys=q, found=found, values=values, levels=levels, search_steps=steps
         )
@@ -456,39 +416,26 @@ class ShardRouter:
         arr, vals = _as_batch_kv(keys, values)
         __, order, offsets = self.group_by_shard(arr)
         counts = np.zeros(self.n_shards, dtype=np.int64)
-        tasks = []
-        touched: list[int] = []
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
             if lo == hi:
                 continue
             positions = order[lo:hi]
             counts[shard_no] = positions.size
-            touched.append(shard_no)
             shard = self._shards[shard_no]
             if shard is None:
                 self._shards[shard_no] = self._materialise(
                     arr[positions], vals[positions]
                 )
-                continue
-            tasks.append(
-                (
-                    shard_no,
-                    (lambda s=shard, p=positions: s.insert_many(arr[p], vals[p])),
-                )
-            )
-        if self._proc is not None:
-            # Writes apply to the authoritative in-process shards, then
-            # each touched shard is republished so the replicas serve
-            # the new state.  (The service's write path buffers instead
-            # and republishes only on merge — this direct path trades
-            # write throughput for simplicity.)
-            for __, task in tasks:
-                task()
-            for shard_no in touched:
+            else:
+                shard.insert_many(arr[positions], vals[positions])
+            if self._proc is not None:
+                # Writes apply to the authoritative in-process shard,
+                # then it is republished so the replicas serve the new
+                # state.  (The service's write path buffers instead and
+                # republishes only on merge — this direct path trades
+                # write throughput for simplicity.)
                 self._proc.publish(shard_no, self._shards[shard_no])
-        else:
-            self._map_shards(tasks)
         reg = get_registry()
         if reg.enabled:
             reg.counter("router_inserted_keys_total").inc(int(arr.size))
@@ -565,10 +512,7 @@ class ShardRouter:
                 self._proc.publish(shard_no, index)
 
     def close(self) -> None:
-        """Shut the worker pool / processes down (no-op when serial)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Shut the worker processes down (no-op when serial)."""
         if self._proc is not None:
             self._proc.close()
 

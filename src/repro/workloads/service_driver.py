@@ -26,7 +26,7 @@ class ServiceWorkloadReport:
     """Outcome of one driven workload against an IndexService.
 
     ``worker_restarts`` counts executor worker respawns over the run
-    (always 0 for serial/thread executors) — a nonzero value means the
+    (always 0 for the serial executor) — a nonzero value means the
     process backend rode through crashes or timeouts mid-workload.
     """
 

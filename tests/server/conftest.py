@@ -1,10 +1,10 @@
 """Shared fixtures for the HTTP front-door suite.
 
-Parity here is always *twin parity*: lookup cost telemetry (levels /
-search_steps) is deliberately non-idempotent on one service — the
-read-through block cache turns repeat blocks into levels-0 answers —
-so a response can only be compared against a second ``IndexService``
-built from the same keys and fed the same op sequence in-process.
+Parity here is always *twin parity*: a response is compared against a
+second ``IndexService`` built from the same keys and fed the same op
+sequence in-process, because writes (buffering, merges, re-smoothing)
+change what a later lookup reports — answers and cost telemetry
+(levels / search_steps) alike.
 """
 
 from __future__ import annotations

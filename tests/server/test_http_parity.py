@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 
 import numpy as np
 import pytest
 
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
-from repro.server import HttpStatusError
+from repro.server import HttpIndexClient, HttpStatusError
 from repro.server.app import (
     BadRequestError,
     parse_insert_request,
@@ -40,8 +41,7 @@ class TestLookupParity:
         assert resp["search_steps"] == ref.search_steps.tolist()
 
     def test_repeat_batches_track_twin_cache_state(self, twin_pair, rng):
-        # Cost telemetry changes across calls (cache warms up); both
-        # sides must change in lockstep.
+        # Repeat batches must keep matching the twin call for call.
         client, twin, keys = twin_pair
         q = rng.choice(keys, 256)
         for _ in range(3):
@@ -170,6 +170,59 @@ class TestProtocolErrors:
             assert conn.getresponse().status == 400
         finally:
             conn.close()
+
+    @staticmethod
+    def _raw_exchange(client, payload: bytes) -> bytes:
+        """Send *payload* on a fresh socket; read until the server closes
+        it (a server that keeps it open fails on the 5 s timeout)."""
+        with socket.create_connection((client.host, client.port), timeout=5) as sock:
+            sock.sendall(payload)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    @staticmethod
+    def _assert_lookup_ok_on_new_connection(client, keys):
+        with HttpIndexClient(client.host, client.port, timeout=10) as fresh:
+            status, _h, payload = fresh.request(
+                "POST", "/v1/lookup", {"keys": [int(keys[0])]}
+            )
+        assert status == 200
+        assert json.loads(payload)["found"] == [True]
+
+    @pytest.mark.parametrize(
+        "length", ["abc", "-5", "", "1e3", "\u00b2"],
+        ids=["letters", "negative", "empty", "exponent", "superscript-two"],
+    )
+    def test_bad_content_length_400_and_close(self, twin_pair, length):
+        client, _twin, keys = twin_pair
+        errors_before = client.stats()["http"]["http_errors_total"]
+        # A body that would parse as a second request if the bad
+        # length were read as 0.
+        follow_up = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+        reply = self._raw_exchange(
+            client,
+            b"POST /v1/lookup HTTP/1.1\r\nHost: x\r\n"
+            + f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+            + follow_up,
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert client.stats()["http"]["http_errors_total"] == errors_before + 1
+        self._assert_lookup_ok_on_new_connection(client, keys)
+
+    def test_oversize_content_length_413_before_reading_the_body(self, twin_pair):
+        client, _twin, keys = twin_pair
+        errors_before = client.stats()["http"]["http_errors_total"]
+        reply = self._raw_exchange(
+            client,
+            b"POST /v1/lookup HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 500000000\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert client.stats()["http"]["http_errors_total"] == errors_before + 1
+        self._assert_lookup_ok_on_new_connection(client, keys)
 
     def test_server_survives_error_barrage(self, twin_pair, rng):
         client, twin, keys = twin_pair

@@ -8,6 +8,9 @@ the end-to-end test exercises through a full HTTP restart cycle.
 
 from __future__ import annotations
 
+import contextlib
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -63,26 +66,13 @@ class TestStoreUnit:
         store.save_counters({"b": 20, "c": 3})
         assert store.load_counters() == {"a": 1, "b": 20, "c": 3}
 
-    def test_cache_blocks_roundtrip(self, store, rng):
-        blocks = [
-            (0, 7, rng.integers(0, 100, 8), rng.integers(0, 100, 8)),
-            (2, 1, rng.integers(0, 100, 3), rng.integers(0, 100, 3)),
-        ]
-        store.save_cache_blocks(blocks)
-        loaded = store.load_cache_blocks()
-        assert [(s, b) for s, b, _, _ in loaded] == [(0, 7), (2, 1)]
-        for (_, _, keys, vals), (_, _, k2, v2) in zip(blocks, loaded):
-            assert np.array_equal(keys, k2) and np.array_equal(vals, v2)
-
     def test_replay_bundles_everything(self, store, rng):
         keys = rng.integers(0, 1000, 10)
         store.record_op("insert", keys)
         store.save_counters({"x": 5})
-        store.save_cache_blocks([(1, 2, keys, keys * 2)])
         state = store.replay()
         assert state.counters == {"x": 5}
         assert len(state.ops) == 1 and np.array_equal(state.ops[0].keys, keys)
-        assert len(state.cache_blocks) == 1
 
     def test_survives_reopen(self, tmp_path, rng):
         path = tmp_path / "r.db"
@@ -134,6 +124,63 @@ class TestRestartRecovery:
         assert http["http_requests_total.insert"] == 1
         assert http["http_keys_inserted_total"] == fresh.size
         assert registry2.counter("http_replayed_ops_total").value == 1
+
+    def test_older_layout_with_query_cache_table_still_restores(self, tmp_path, rng):
+        """A database from the layout that also saved cache blocks opens
+        under the same version: ops replay, known counters restore, and
+        the leftover table and counters are ignored."""
+        base = np.unique(rng.integers(0, 10**8, 1_000))
+        fresh = int(base[-1]) + np.arange(1, 11, dtype=np.int64)
+        path = tmp_path / "runtime.db"
+        with contextlib.closing(sqlite3.connect(str(path))) as conn:
+            conn.executescript(
+                """
+                CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+                CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+                CREATE TABLE op_log (
+                    seq INTEGER PRIMARY KEY AUTOINCREMENT, ts REAL NOT NULL,
+                    op TEXT NOT NULL, n_keys INTEGER NOT NULL,
+                    keys BLOB NOT NULL, vals BLOB
+                );
+                CREATE TABLE query_cache (
+                    shard INTEGER NOT NULL, block INTEGER NOT NULL,
+                    keys BLOB NOT NULL, vals BLOB NOT NULL, saved_ts REAL NOT NULL,
+                    PRIMARY KEY (shard, block)
+                );
+                INSERT INTO meta VALUES ('version', '1');
+                """
+            )
+            blob = fresh.astype("<i8").tobytes()
+            conn.execute(
+                "INSERT INTO op_log (ts, op, n_keys, keys, vals) VALUES (0, 'insert', ?, ?, NULL)",
+                (int(fresh.size), blob),
+            )
+            conn.executemany(
+                "INSERT INTO counters VALUES (?, ?)",
+                [("service.n_inserts", 10), ("service.cache_hits", 7),
+                 ("http_requests_total.insert", 1)],
+            )
+            conn.execute(
+                "INSERT INTO query_cache VALUES (0, 3, ?, ?, 0)", (blob, blob)
+            )
+            conn.commit()
+
+        registry = MetricsRegistry(enabled=True)
+        with scoped_registry(registry):
+            service = IndexService.build(base, family=FAMILY, n_shards=N_SHARDS)
+            with RuntimeStore(path) as store:
+                assert store.meta_get("version") == "1"
+                with ServerThread(service, registry=registry, store=store) as srv:
+                    with HttpIndexClient(srv.host, srv.port) as client:
+                        resp = client.lookup(fresh.tolist())
+                        stats = client.stats()
+            service.close()
+        assert all(resp["found"])
+        assert resp["values"] == fresh.tolist()  # default value = key
+        assert registry.counter("http_replayed_ops_total").value == 1
+        assert stats["service"]["n_inserts"] == 10
+        assert "cache_hits" not in stats["service"]
+        assert stats["http"]["http_requests_total.insert"] == 1
 
     def test_no_replay_flag_skips_restoration(self, tmp_path, rng):
         base = np.unique(rng.integers(0, 10**8, 1_000))
